@@ -56,13 +56,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChunker -fuzztime 30s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 30s ./internal/scenario/
 
-# Allocation gate: allocs/op on the binary-wire warehouse-hit path must
+# Allocation gate: allocs/op on the warehouse-hit request path must
 # stay under the absolute ceiling and within slack of the checked-in
 # throughput baseline.
 bench-allocs:
 	$(GO) run ./cmd/rattrap-bench -allocs -baseline BENCH_throughput.json
 
-# Regenerates BENCH_realtime.json (event vs ticker driver comparison).
+# Regenerates BENCH_realtime.json (warehouse-hit round-trip latency and
+# idle timer wakeups of the event-driven pacing driver).
 bench-realtime:
 	$(GO) run ./cmd/rattrap-bench -realtime
 

@@ -51,7 +51,7 @@ echo "== throughput report determinism (everything but wall-clock fields)"
 mkdir -p "$scratch/tp2"
 go run ./cmd/rattrap-bench -throughput -short -out "$scratch/tp2" > /dev/null
 strip_measured() {
-    grep -v -E '"(req_per_sec|p50_us|p99_us|allocs_per_op|pipeline_speedup_x|codec_speedup_x)":' "$1"
+    grep -v -E '"(req_per_sec|p50_us|p99_us|allocs_per_op|pipeline_speedup_x)":' "$1"
 }
 strip_measured "$scratch/BENCH_throughput.json" > "$scratch/tp_a.json"
 strip_measured "$scratch/tp2/BENCH_throughput.json" > "$scratch/tp_b.json"

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"rattrap/internal/offload"
 )
 
 // The allocs gate pins the per-request heap cost of the warehouse-hit
@@ -32,7 +30,7 @@ const (
 	allocsRequests = tpRequests
 )
 
-// runAllocsGate measures the single-connection binary cells and fails
+// runAllocsGate measures the single-connection cells and fails
 // if any exceeds the absolute ceiling or regresses past the slack fence
 // relative to the matching cell of the baseline report.
 func runAllocsGate(baseline string) error {
@@ -53,7 +51,7 @@ func runAllocsGate(baseline string) error {
 
 	var failures []string
 	for _, c := range tpShortCells {
-		cell, err := measureThroughputCell(c[0], c[1], allocsRequests, offload.WireBinary)
+		cell, err := measureThroughputCell(c[0], c[1], allocsRequests)
 		if err != nil {
 			return fmt.Errorf("cell %dx%d: %w", c[0], c[1], err)
 		}
@@ -61,7 +59,7 @@ func runAllocsGate(baseline string) error {
 		if cell.AllocsPerOp >= allocsAbsoluteCap {
 			verdict = "FAIL"
 			failures = append(failures, fmt.Sprintf(
-				"cell %dx%d binary: %d allocs/op breaches the absolute ceiling of %d",
+				"cell %dx%d: %d allocs/op breaches the absolute ceiling of %d",
 				cell.Devices, cell.Depth, cell.AllocsPerOp, allocsAbsoluteCap))
 		}
 		if b, ok := baseBy[cellKey(cell)]; ok {
@@ -69,12 +67,12 @@ func runAllocsGate(baseline string) error {
 			if cell.AllocsPerOp > limit {
 				verdict = "FAIL"
 				failures = append(failures, fmt.Sprintf(
-					"cell %dx%d binary: %d allocs/op regressed past baseline %d (limit %d = %d×%.2f+%d)",
+					"cell %dx%d: %d allocs/op regressed past baseline %d (limit %d = %d×%.2f+%d)",
 					cell.Devices, cell.Depth, cell.AllocsPerOp, b.AllocsPerOp,
 					limit, b.AllocsPerOp, allocsSlackFactor, allocsSlackFlat))
 			}
 		}
-		fmt.Printf("allocs %d dev x depth %d binary: %d allocs/op (ceiling %d) — %s\n",
+		fmt.Printf("allocs %d dev x depth %d: %d allocs/op (ceiling %d) — %s\n",
 			cell.Devices, cell.Depth, cell.AllocsPerOp, allocsAbsoluteCap, verdict)
 	}
 	if len(failures) > 0 {

@@ -6,8 +6,8 @@
 // Usage:
 //
 //	rattrap-bench [-seed N] [-fig 1|2|3|9|10|11|obs4] [-table 1|2] [-out dir]
-//	rattrap-bench -realtime [-out dir] [-baseline BENCH_realtime.json]   # serving-layer latency comparison
-//	rattrap-bench -throughput [-short] [-out dir] [-baseline BENCH_throughput.json]   # pipelined data-plane sweep (both wire codecs)
+//	rattrap-bench -realtime [-out dir] [-baseline BENCH_realtime.json]   # serving-layer latency report
+//	rattrap-bench -throughput [-short] [-out dir] [-baseline BENCH_throughput.json]   # pipelined data-plane sweep
 //	rattrap-bench -allocs [-baseline BENCH_throughput.json]   # allocs/op gate on the binary-wire warehouse-hit path
 //	rattrap-bench -cluster [-short] [-out dir]   # sharded-gateway scaling sweep (shards x devices)
 //	rattrap-bench -faults [-seed N] [-out dir]   # fault-plan robustness sweep

@@ -16,9 +16,9 @@ import (
 	"rattrap/internal/workload"
 )
 
-// The realtime comparison measures the serving layer, not the paper's
+// The realtime report measures the serving layer, not the paper's
 // virtual-time results: warehouse-hit exec roundtrips over loopback TCP
-// against the event-driven driver and the legacy 2 ms ticker baseline.
+// against the event-driven pacing driver.
 const (
 	rtSpeed    = 20000 // virtual task cost shrinks to µs; dispatch dominates
 	rtRequests = 500
@@ -41,40 +41,26 @@ type rtModeReport struct {
 }
 
 type rtReport struct {
-	Workload    string       `json:"workload"`
-	Speed       float64      `json:"speed"`
-	IdleWindow  string       `json:"idle_window"`
-	Event       rtModeReport `json:"event"`
-	Ticker      rtModeReport `json:"ticker"`
-	SpeedupP50X float64      `json:"speedup_p50_x"`
-	SpeedupP99X float64      `json:"speedup_p99_x"`
+	Workload   string       `json:"workload"`
+	Speed      float64      `json:"speed"`
+	IdleWindow string       `json:"idle_window"`
+	Event      rtModeReport `json:"event"`
 }
 
-// runRealtimeBench drives both driver modes and writes BENCH_realtime.json
+// runRealtimeBench measures the server and writes BENCH_realtime.json
 // into dir (or the working directory when dir is empty). When baseline
 // names a previous report, the run fails if the event-mode p50 regressed
 // more than rtRegressionFactor against it — the CI latency gate.
 func runRealtimeBench(dir, baseline string) error {
-	event, err := measureMode(false)
+	event, err := measureRealtime()
 	if err != nil {
-		return fmt.Errorf("event mode: %w", err)
-	}
-	ticker, err := measureMode(true)
-	if err != nil {
-		return fmt.Errorf("ticker mode: %w", err)
+		return err
 	}
 	rep := rtReport{
 		Workload:   workload.NameLinpack + " (n=8, warehouse hit)",
 		Speed:      rtSpeed,
 		IdleWindow: rtIdleWait.String(),
 		Event:      event,
-		Ticker:     ticker,
-	}
-	if event.P50Micros > 0 {
-		rep.SpeedupP50X = ticker.P50Micros / event.P50Micros
-	}
-	if event.P99Micros > 0 {
-		rep.SpeedupP99X = ticker.P99Micros / event.P99Micros
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -88,8 +74,8 @@ func runRealtimeBench(dir, baseline string) error {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("realtime roundtrip (p50): event %.0f µs, ticker %.0f µs — %.1fx; report in %s\n",
-		event.P50Micros, ticker.P50Micros, rep.SpeedupP50X, path)
+	fmt.Printf("realtime roundtrip: p50 %.0f µs, p99 %.0f µs; report in %s\n",
+		event.P50Micros, event.P99Micros, path)
 	if baseline != "" {
 		return checkRegression(baseline, event.P50Micros)
 	}
@@ -125,15 +111,10 @@ func checkRegression(path string, p50us float64) error {
 	return nil
 }
 
-func measureMode(ticker bool) (rtModeReport, error) {
+func measureRealtime() (rtModeReport, error) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.IdleTimeout = 0 // keep the pool warm: no reap events in the idle window
-	var srv *realtime.Server
-	if ticker {
-		srv = realtime.NewTickerServer(cfg, rtSpeed, nil)
-	} else {
-		srv = realtime.NewServer(cfg, rtSpeed, nil)
-	}
+	srv := realtime.NewServer(cfg, rtSpeed, nil)
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -198,8 +179,8 @@ func measureMode(ticker bool) (rtModeReport, error) {
 		h.Observe(time.Since(start))
 	}
 
-	// Idle wakeups: with no work pending, the event loop must hold no
-	// timer at all; the ticker keeps firing.
+	// Idle wakeups: with no work pending, the pacing loop must hold no
+	// timer at all.
 	before := srv.Driver().TimerWakeups()
 	time.Sleep(rtIdleWait)
 	idle := srv.Driver().TimerWakeups() - before

@@ -34,23 +34,19 @@ const (
 	tpShortRequests = 160 // per device with -short (the CI gate); enough to amortize boot + handshake against the full-sweep baseline
 )
 
-// tpAllCells is the full devices × depth grid, swept once per wire
-// codec; -short keeps only the single-connection cells so the CI gate
-// stays fast. Cell identity is (devices, depth, codec): the baseline
-// check matches on it, so reordering or renaming cells invalidates
-// checked-in baselines. Baselines that predate the codec column are
-// read as gob (the only wire they could have measured).
+// tpAllCells is the full devices × depth grid; -short keeps only the
+// single-connection cells so the CI gate stays fast. Cell identity is
+// (devices, depth): the baseline check matches on it, so reordering or
+// renaming cells invalidates checked-in baselines.
 var (
 	tpAllCells   = [][2]int{{1, 1}, {1, 8}, {4, 1}, {4, 8}}
 	tpShortCells = [][2]int{{1, 1}, {1, 8}}
-	tpWires      = []offload.Wire{offload.WireGob, offload.WireBinary}
 )
 
 type tpCell struct {
-	Devices  int    `json:"devices"`
-	Depth    int    `json:"depth"`
-	Codec    string `json:"codec"`    // wire codec the device connections negotiated
-	Requests int    `json:"requests"` // measured requests per device (excl. warm-up)
+	Devices  int `json:"devices"`
+	Depth    int `json:"depth"`
+	Requests int `json:"requests"` // measured requests per device (excl. warm-up)
 	// Wall-clock measurements; everything above is deterministic config.
 	ReqPerSec   float64 `json:"req_per_sec"`
 	P50Micros   float64 `json:"p50_us"`
@@ -59,31 +55,18 @@ type tpCell struct {
 }
 
 // tpKey identifies a cell across runs and baselines.
-type tpKey struct {
-	devices, depth int
-	codec          string
-}
+type tpKey struct{ devices, depth int }
 
-func cellKey(c tpCell) tpKey {
-	codec := c.Codec
-	if codec == "" {
-		codec = string(offload.WireGob) // pre-codec-column baseline
-	}
-	return tpKey{devices: c.Devices, depth: c.Depth, codec: codec}
-}
+func cellKey(c tpCell) tpKey { return tpKey{devices: c.Devices, depth: c.Depth} }
 
 type tpReport struct {
 	Workload string   `json:"workload"`
 	Speed    float64  `json:"speed"`
 	Short    bool     `json:"short"`
 	Cells    []tpCell `json:"cells"`
-	// PipelineSpeedupX is req/s at {1 device, depth 8} over {1, depth 1}
-	// on the binary wire: the headline number for what pipelining buys one
-	// connection.
+	// PipelineSpeedupX is req/s at {1 device, depth 8} over {1, depth 1}:
+	// the headline number for what pipelining buys one connection.
 	PipelineSpeedupX float64 `json:"pipeline_speedup_x"`
-	// CodecSpeedupX is binary req/s over gob req/s at {1 device, depth 8}:
-	// what the flat codec buys the pipelined hot path.
-	CodecSpeedupX float64 `json:"codec_speedup_x"`
 }
 
 // runThroughputBench sweeps the cell grid and writes BENCH_throughput.json
@@ -100,30 +83,21 @@ func runThroughputBench(dir, baseline string, short bool) error {
 		Speed:    tpSpeed,
 		Short:    short,
 	}
-	byKey := make(map[tpKey]tpCell, 2*len(cells))
-	for _, wire := range tpWires {
-		for _, c := range cells {
-			cell, err := measureThroughputCell(c[0], c[1], requests, wire)
-			if err != nil {
-				return fmt.Errorf("cell %dx%d %s: %w", c[0], c[1], wire, err)
-			}
-			rep.Cells = append(rep.Cells, cell)
-			byKey[cellKey(cell)] = cell
-			fmt.Printf("throughput %d dev x depth %d %-6s: %.0f req/s (p50 %.0f µs, p99 %.0f µs, %d allocs/op)\n",
-				cell.Devices, cell.Depth, cell.Codec, cell.ReqPerSec, cell.P50Micros, cell.P99Micros, cell.AllocsPerOp)
+	byKey := make(map[tpKey]tpCell, len(cells))
+	for _, c := range cells {
+		cell, err := measureThroughputCell(c[0], c[1], requests)
+		if err != nil {
+			return fmt.Errorf("cell %dx%d: %w", c[0], c[1], err)
 		}
+		rep.Cells = append(rep.Cells, cell)
+		byKey[cellKey(cell)] = cell
+		fmt.Printf("throughput %d dev x depth %d: %.0f req/s (p50 %.0f µs, p99 %.0f µs, %d allocs/op)\n",
+			cell.Devices, cell.Depth, cell.ReqPerSec, cell.P50Micros, cell.P99Micros, cell.AllocsPerOp)
 	}
-	bin := string(offload.WireBinary)
-	if serial, ok := byKey[tpKey{1, 1, bin}]; ok && serial.ReqPerSec > 0 {
-		if piped, ok := byKey[tpKey{1, 8, bin}]; ok {
+	if serial, ok := byKey[tpKey{1, 1}]; ok && serial.ReqPerSec > 0 {
+		if piped, ok := byKey[tpKey{1, 8}]; ok {
 			rep.PipelineSpeedupX = piped.ReqPerSec / serial.ReqPerSec
-			fmt.Printf("pipeline speedup (1 dev, depth 8 vs 1, binary): %.1fx\n", rep.PipelineSpeedupX)
-		}
-	}
-	if gob8, ok := byKey[tpKey{1, 8, string(offload.WireGob)}]; ok && gob8.ReqPerSec > 0 {
-		if bin8, ok := byKey[tpKey{1, 8, bin}]; ok {
-			rep.CodecSpeedupX = bin8.ReqPerSec / gob8.ReqPerSec
-			fmt.Printf("codec speedup (1 dev, depth 8, binary vs gob): %.1fx\n", rep.CodecSpeedupX)
+			fmt.Printf("pipeline speedup (1 dev, depth 8 vs 1): %.1fx\n", rep.PipelineSpeedupX)
 		}
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -167,25 +141,24 @@ func checkThroughputRegression(path string, cells []tpCell) error {
 		baseBy[cellKey(c)] = c
 	}
 	for _, c := range cells {
-		key := cellKey(c)
-		b, ok := baseBy[key]
+		b, ok := baseBy[cellKey(c)]
 		if !ok {
 			continue
 		}
 		if b.P50Micros > 0 {
 			if ratio := c.P50Micros / b.P50Micros; ratio > rtRegressionFactor {
-				return fmt.Errorf("cell %dx%d %s p50 regressed %.1fx vs baseline %s (%.0f µs now, %.0f µs then; limit %.0fx)",
-					c.Devices, c.Depth, key.codec, ratio, path, c.P50Micros, b.P50Micros, rtRegressionFactor)
+				return fmt.Errorf("cell %dx%d p50 regressed %.1fx vs baseline %s (%.0f µs now, %.0f µs then; limit %.0fx)",
+					c.Devices, c.Depth, ratio, path, c.P50Micros, b.P50Micros, rtRegressionFactor)
 			}
 		}
 		if b.ReqPerSec > 0 {
 			if ratio := c.ReqPerSec / b.ReqPerSec; ratio < tpMinReqpsFactor {
-				return fmt.Errorf("cell %dx%d %s throughput fell to %.2fx of baseline %s (%.0f req/s now, %.0f then; floor %.2fx)",
-					c.Devices, c.Depth, key.codec, ratio, path, c.ReqPerSec, b.ReqPerSec, tpMinReqpsFactor)
+				return fmt.Errorf("cell %dx%d throughput fell to %.2fx of baseline %s (%.0f req/s now, %.0f then; floor %.2fx)",
+					c.Devices, c.Depth, ratio, path, c.ReqPerSec, b.ReqPerSec, tpMinReqpsFactor)
 			}
 		}
-		fmt.Printf("cell %dx%d %s vs baseline %s: p50 %.2fx, req/s %.2fx — ok\n",
-			c.Devices, c.Depth, key.codec, path, c.P50Micros/b.P50Micros, c.ReqPerSec/b.ReqPerSec)
+		fmt.Printf("cell %dx%d vs baseline %s: p50 %.2fx, req/s %.2fx — ok\n",
+			c.Devices, c.Depth, path, c.P50Micros/b.P50Micros, c.ReqPerSec/b.ReqPerSec)
 	}
 	return nil
 }
@@ -198,7 +171,7 @@ func checkThroughputRegression(path string, cells []tpCell) error {
 // malloc delta over the window divided by measured requests — both client
 // and server sides of the wire path run in this process, so the number
 // bounds the pooled codec's per-request cost.
-func measureThroughputCell(devices, depth, requests int, wire offload.Wire) (tpCell, error) {
+func measureThroughputCell(devices, depth, requests int) (tpCell, error) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.IdleTimeout = 0 // keep the pool warm for the whole window
 	srv := realtime.NewServerOpts(cfg, tpSpeed, nil, realtime.Options{PipelineDepth: depth})
@@ -223,7 +196,7 @@ func measureThroughputCell(devices, depth, requests int, wire offload.Wire) (tpC
 		go func(i int) {
 			defer done.Done()
 			errs[i] = driveThroughputDevice(ln.Addr().String(), fmt.Sprintf("tp-dev-%d", i),
-				wire, app, aid, params, depth, requests, &ready, start)
+				app, aid, params, depth, requests, &ready, start)
 		}(i)
 	}
 	ready.Wait() // every device connected, warmed up and parked at the gate
@@ -253,7 +226,6 @@ func measureThroughputCell(devices, depth, requests int, wire offload.Wire) (tpC
 	return tpCell{
 		Devices:     devices,
 		Depth:       depth,
-		Codec:       string(wire),
 		Requests:    requests,
 		ReqPerSec:   float64(total) / wall.Seconds(),
 		P50Micros:   us(p50),
@@ -265,7 +237,7 @@ func measureThroughputCell(devices, depth, requests int, wire offload.Wire) (tpC
 // driveThroughputDevice runs one device's closed loop: dial, hello, one
 // warm-up exec (boots the runtime; first device also stages the code),
 // then park on the start gate and pump `requests` pipelined execs.
-func driveThroughputDevice(addr, deviceID string, wire offload.Wire, app workload.App, aid string, params []byte,
+func driveThroughputDevice(addr, deviceID string, app workload.App, aid string, params []byte,
 	depth, requests int, ready *sync.WaitGroup, start <-chan struct{}) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -274,7 +246,7 @@ func driveThroughputDevice(addr, deviceID string, wire offload.Wire, app workloa
 	}
 	defer conn.Close()
 	var badResult error
-	pc := offload.NewPipelineClient(offload.NewConnWire(conn, wire), depth,
+	pc := offload.NewPipelineClient(offload.NewConn(conn), depth,
 		func(need offload.NeedCode) (offload.CodePush, error) {
 			return offload.CodePush{AID: aid, App: app.Name(), Size: app.CodeSize()}, nil
 		},

@@ -7,11 +7,10 @@ import (
 	"rattrap/internal/host"
 )
 
-// The flat binary wire codec: the negotiated fast path that replaces gob
-// frame payloads on hot connections. The outer framing (one uvarint byte
-// length, then that many payload bytes, capped by the connection's frame
-// limit *before* any payload-sized allocation) is shared with the gob
-// codec; only the payload encoding differs.
+// The flat binary wire codec: the payload of every frame. The outer
+// framing (one uvarint byte length, then that many payload bytes, capped
+// by the connection's frame limit *before* any payload-sized allocation)
+// is in codec.go.
 //
 // # Payload layout (wire version 1)
 //
@@ -22,19 +21,17 @@ import (
 //	[4:] fields in fixed per-kind order
 //
 // Scalar fields are zigzag varints (all wire integers are signed Go types;
-// zigzag keeps negative values round-trippable so the codec cross-check
-// against gob is exact). Strings and byte slices are a uvarint length
-// followed by the raw bytes. Every field is always present — no omission
-// of zero values — and a decoder that does not consume the payload exactly
-// rejects the frame.
+// zigzag keeps negative values round-trippable). Strings and byte slices
+// are a uvarint length followed by the raw bytes. Every field is always
+// present — no omission of zero values — and a decoder that does not
+// consume the payload exactly rejects the frame.
 //
-// The magic byte is chosen from the range a gob stream can never emit as
-// its first payload byte: gob's unsigned-int wire encoding starts every
-// message with either a small literal count (0x00..0x7F) or a negated
-// byte-length marker (0xF8..0xFF), so 0x80..0xF7 is free for sniffing.
-// A server reads the first frame's payload and pins the connection's
-// codec from that one byte: 0xB1 means binary, anything else is the gob
-// fallback — which is how old gob-only clients keep connecting unchanged.
+// The magic byte is chosen from the range a gob stream — the codec of
+// pre-binary clients — can never emit as its first payload byte: gob
+// starts every message with either a small literal count (0x00..0x7F) or
+// a negated byte-length marker (0xF8..0xFF). A legacy client's hello
+// therefore fails the header check with a typed *WireVersionError, which
+// the server answers with a protocol-error frame.
 //
 // # Zero-copy contract
 //
@@ -46,30 +43,16 @@ import (
 // or take ownership of the buffer with TakeRecvBuf and release it when
 // done — see the RecvBuf docs for the hazard this closes.
 
-// Wire names a frame-payload codec for NewConnWire and the -wire flags.
+// Wire names a frame-payload codec.
+//
+// Deprecated: there is one wire codec; Wire and WireBinary remain only so
+// callers written against the two-codec API still compile.
 type Wire string
 
-// Wire codec selections.
-const (
-	// WireAuto mirrors the peer: receive either codec, send gob until the
-	// first received frame reveals the peer speaks binary. Servers use it.
-	WireAuto Wire = "auto"
-	// WireGob sends gob and accepts only gob; a binary frame is refused
-	// with a typed *WireVersionError instead of a garbled decode.
-	WireGob Wire = "gob"
-	// WireBinary sends binary frames; the receive side still sniffs, so a
-	// gob-speaking peer's typed error frames stay readable.
-	WireBinary Wire = "binary"
-)
-
-// ParseWire maps a -wire flag value to a Wire selection.
-func ParseWire(s string) (Wire, error) {
-	switch Wire(s) {
-	case WireAuto, WireGob, WireBinary:
-		return Wire(s), nil
-	}
-	return "", fmt.Errorf("offload: unknown wire codec %q (want auto, gob or binary)", s)
-}
+// WireBinary is the flat binary codec.
+//
+// Deprecated: see Wire.
+const WireBinary Wire = "binary"
 
 const (
 	// binMagic is the first payload byte of every binary frame.
@@ -115,23 +98,20 @@ var binKindNames = [...]Kind{
 	binKindChunkNeed:  KindChunkNeed,
 }
 
-// WireVersionError reports a failed codec negotiation: the peer opened
-// with a binary frame the connection cannot serve, either because the
-// advertised wire version is unknown or because the connection is pinned
-// to gob (WireGob). Servers answer it with a typed protocol-error result
-// frame in gob — the one codec every client speaks — instead of dropping
-// the connection. Match with errors.As.
+// WireVersionError reports a frame this codec cannot speak: its payload
+// does not open with the binary magic (a legacy gob peer, or garbage), or
+// it advertises a wire version this build does not know. Servers answer
+// it with a typed protocol-error result frame instead of dropping the
+// connection. Match with errors.As.
 type WireVersionError struct {
-	// Version is the wire version byte the peer sent.
+	// Version is the wire version byte the peer sent; 0 when the payload
+	// does not open with the binary magic at all.
 	Version byte
-	// Refused reports a policy rejection: the version is known but this
-	// connection accepts only gob.
-	Refused bool
 }
 
 func (e *WireVersionError) Error() string {
-	if e.Refused {
-		return fmt.Sprintf("offload: binary wire v%d refused: connection accepts gob only", e.Version)
+	if e.Version == 0 {
+		return fmt.Sprintf("offload: frame is not binary wire v%d (legacy gob peer?)", BinaryWireVersion)
 	}
 	return fmt.Sprintf("offload: unsupported wire version %d (have %d)", e.Version, BinaryWireVersion)
 }
@@ -144,8 +124,8 @@ func (e *WireVersionError) Error() string {
 // TakeRecvBuf transfers the buffer out of the recycle path; the taker
 // must call Release exactly once, after the last use of the views.
 //
-// The zero RecvBuf (gob mode, or a frame without byte views) releases as
-// a no-op, so callers can take-and-release unconditionally.
+// The zero RecvBuf (nothing to take) releases as a no-op, so callers can
+// take-and-release unconditionally.
 type RecvBuf struct {
 	bp *[]byte
 }
@@ -315,8 +295,7 @@ func (r *binReader) zig() int64 {
 
 // bytes returns a view of the next length-prefixed byte string, aliasing
 // the payload buffer (capacity-clamped so appends cannot bleed into the
-// following bytes). Zero length decodes as nil, matching gob's omission
-// of empty slices.
+// following bytes). Zero length decodes as nil.
 func (r *binReader) bytes() []byte {
 	n := r.uint()
 	if r.err != nil {
@@ -335,17 +314,16 @@ func (r *binReader) bytes() []byte {
 }
 
 // decodeBinary decodes a binary payload into the connection's scratch
-// structs and returns a Frame whose payload pointers alias them. buf must
-// already have been sniffed as binary (magic + supported version).
+// structs and returns a Frame whose payload pointers alias them.
 func (c *Conn) decodeBinary(buf []byte) (Frame, error) {
-	if len(buf) < binHeaderLen {
-		return Frame{}, fmt.Errorf("offload: binary frame of %d bytes is shorter than its header", len(buf))
-	}
-	if buf[0] != binMagic {
-		return Frame{}, fmt.Errorf("offload: binary frame without magic (got 0x%02x)", buf[0])
+	if len(buf) < 2 || buf[0] != binMagic {
+		return Frame{}, &WireVersionError{}
 	}
 	if buf[1] != BinaryWireVersion {
 		return Frame{}, &WireVersionError{Version: buf[1]}
+	}
+	if len(buf) < binHeaderLen {
+		return Frame{}, fmt.Errorf("offload: binary frame of %d bytes is shorter than its header", len(buf))
 	}
 	kindByte, flags := buf[2], buf[3]
 	if int(kindByte) >= len(binKindNames) || binKindNames[kindByte] == "" {

@@ -209,9 +209,8 @@ type ChunkedSession interface {
 }
 
 // Wire carriers: chunk frames ride the existing exported Frame shape (an
-// ExecRequest payload) so the legacy gob stream's type descriptors — and
-// therefore its golden bytes — are untouched; the binary codec gives the
-// same carriers first-class discriminators. Field mapping:
+// ExecRequest payload), and the binary codec gives them their own kind
+// discriminators. Field mapping:
 //
 //	Exec.AID        = offer/need AID
 //	Exec.App        = offer App (offers only)

@@ -2,6 +2,7 @@ package offload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 // Run with `go test -fuzz FuzzFrameCodec ./internal/offload/`
 // (ci.sh runs a short smoke pass).
 func FuzzFrameCodec(f *testing.F) {
-	// Seed corpus: one valid encoding of each frame kind, plus broken
-	// prefixes and garbage.
+	// Seed corpus: one valid encoding of each frame kind, each frame of a
+	// recorded legacy gob stream, plus broken prefixes and garbage.
 	valid := []Frame{
 		{Kind: KindHello, Hello: &Hello{DeviceID: "phone-1"}},
 		{Kind: KindExec, Exec: &ExecRequest{
@@ -32,13 +33,14 @@ func FuzzFrameCodec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
-		// The same frame in the binary codec, so the corpus explores both
-		// wire formats from the start.
-		var bbuf bytes.Buffer
-		if err := NewConnWire(&bbuf, WireBinary).Send(fr); err != nil {
-			f.Fatal(err)
+	}
+	for legacy := readLegacyStream(f); len(legacy) > 0; {
+		size, n := binary.Uvarint(legacy)
+		if n <= 0 || uint64(len(legacy)-n) < size {
+			f.Fatal("recorded gob stream is not whole frames")
 		}
-		f.Add(bbuf.Bytes())
+		f.Add(legacy[:n+int(size)])
+		legacy = legacy[n+int(size):]
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // huge uvarint
@@ -50,10 +52,10 @@ func FuzzFrameCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const limit = 1 << 16
-		c := NewConnWireLimit(struct {
+		c := NewConnLimit(struct {
 			io.Reader
 			io.Writer
-		}{bytes.NewReader(data), io.Discard}, WireAuto, limit)
+		}{bytes.NewReader(data), io.Discard}, limit)
 		fr, err := c.Recv()
 		if err != nil {
 			return // malformed input must error, not panic
@@ -65,49 +67,21 @@ func FuzzFrameCodec(f *testing.F) {
 		// it out so the replays below can't invalidate it.
 		fr = cloneFrame(fr)
 
-		// Cross-codec semantic equality: whatever decoded — from either
-		// codec — must round-trip through gob AND through the binary codec
-		// to frames that compare equal. This pins the two codecs to one
-		// semantic model of Frame.
-		crossCheck := func(w Wire) Frame {
-			var buf bytes.Buffer
-			cc := NewConnWireLimit(&buf, w, limit)
-			if err := cc.Send(fr); err != nil {
-				t.Fatalf("%s re-encode failed: %v", w, err)
-			}
-			got, err := NewConnWireLimit(struct {
-				io.Reader
-				io.Writer
-			}{&buf, io.Discard}, WireAuto, limit).Recv()
-			if err != nil {
-				t.Fatalf("%s re-decode failed: %v", w, err)
-			}
-			return cloneFrame(got)
-		}
-		viaGob := crossCheck(WireGob)
-		viaBin := crossCheck(WireBinary)
-		if !framesEqual(fr, viaGob) {
-			t.Fatalf("gob round trip changed the frame:\nin  %+v\nout %+v", fr, viaGob)
-		}
-		if !framesEqual(fr, viaBin) {
-			t.Fatalf("binary round trip changed the frame:\nin  %+v\nout %+v", fr, viaBin)
-		}
-		if !framesEqual(viaGob, viaBin) {
-			t.Fatalf("codecs disagree after round trip:\ngob    %+v\nbinary %+v", viaGob, viaBin)
-		}
-		// Round trip: what decoded must re-encode and decode identically
-		// at the kind level.
+		// Round trip: whatever decoded must re-encode and decode to a
+		// frame that compares equal.
 		var buf bytes.Buffer
-		rt := NewConnLimit(&buf, limit)
-		if err := rt.Send(fr); err != nil {
+		if err := NewConnLimit(&buf, limit).Send(fr); err != nil {
 			t.Fatalf("re-encoding a decoded frame failed: %v", err)
 		}
-		back, err := rt.Recv()
+		back, err := NewConnLimit(struct {
+			io.Reader
+			io.Writer
+		}{&buf, io.Discard}, limit).Recv()
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}
-		if back.Kind != fr.Kind {
-			t.Fatalf("round trip changed kind: %s -> %s", fr.Kind, back.Kind)
+		if !framesEqual(fr, back) {
+			t.Fatalf("round trip changed the frame:\nin  %+v\nout %+v", fr, back)
 		}
 
 		// Pooled-path exercise: run the same frame through one persistent

@@ -47,7 +47,7 @@ type ExecRequest struct {
 	InteractBytes host.Bytes
 
 	// span carries the request's observability span through the platform.
-	// Unexported so it never crosses the gob wire — each side of a real
+	// Unexported: it never crosses the wire — each side of a real
 	// connection owns its own span; in-process calls (simulations, the
 	// realtime server handing a decoded request to core) pass it through.
 	span *obs.Span

@@ -74,8 +74,8 @@ func (c *fakeClock) armed() int {
 // TestDriverWakeOnInjectNotTickQuantized is the fake-clock pacing test:
 // with the wall clock frozen solid — no tick, no timer can ever fire — a
 // zero-virtual-time injection must still complete, because the injector
-// drains due work synchronously. Under the old 2 ms ticker loop this
-// would hang forever.
+// drains due work synchronously. A tick-driven loop would hang here
+// forever.
 func TestDriverWakeOnInjectNotTickQuantized(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := NewDriver(e, 1)
@@ -140,9 +140,11 @@ func TestDriverPacesSleepOnFakeClock(t *testing.T) {
 	}
 }
 
-// TestDriverIdleHoldsNoTimer: an idle event-driven driver performs zero
-// timer wakeups — the "no ticker" acceptance criterion. The ticker
-// baseline burns them constantly, which keeps the comparison honest.
+// TestDriverIdleHoldsNoTimer: an idle driver performs zero timer
+// wakeups. The positive control — a proc sleeping a few virtual ms is
+// woken by the timer the counter instruments — keeps the idle-is-zero
+// half honest; it runs on a fake clock so the sleep cannot become due
+// any other way.
 func TestDriverIdleHoldsNoTimer(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := NewDriver(e, 1)
@@ -155,13 +157,27 @@ func TestDriverIdleHoldsNoTimer(t *testing.T) {
 	}
 	d.Stop()
 
-	te := sim.NewEngine(1)
-	td := NewTickerDriver(te, 1)
-	td.Start()
-	time.Sleep(60 * time.Millisecond)
-	td.Stop()
-	if td.TimerWakeups() == 0 {
-		t.Fatal("ticker baseline reported no wakeups; instrumentation broken")
+	fc := newFakeClock()
+	sd := NewDriver(sim.NewEngine(1), 1)
+	sd.clk = fc
+	sd.Start()
+	defer sd.Stop()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sd.Do("sleeper", func(p *sim.Proc) { p.Sleep(5 * time.Millisecond) })
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for fc.armed() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("driver never armed a timer for the sleeping proc")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fc.Advance(5 * time.Millisecond)
+	<-done
+	if sd.TimerWakeups() < 1 {
+		t.Fatal("a virtual sleep completed without a timer wakeup; instrumentation broken")
 	}
 }
 

@@ -140,11 +140,6 @@ type Driver struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	// ticker selects the legacy poll-based loop (2 ms quantum). It is kept
-	// only as the baseline for BenchmarkRealtimeRoundtrip and
-	// `rattrap-bench -realtime`; new code should never set it.
-	ticker bool
-
 	// timerWakeups counts loop iterations caused by a timer firing —
 	// the observable for "no wakeups while idle".
 	timerWakeups atomic.Int64
@@ -166,23 +161,9 @@ func NewDriver(e *sim.Engine, speed float64) *Driver {
 	}
 }
 
-// NewTickerDriver wraps e with the legacy 2 ms polling loop. It exists so
-// benchmarks can measure the event-driven loop against the architecture
-// it replaced; it quantizes every engine interaction to the tick and
-// burns a wakeup every 2 ms even when idle.
-func NewTickerDriver(e *sim.Engine, speed float64) *Driver {
-	d := NewDriver(e, speed)
-	d.ticker = true
-	return d
-}
-
 // Start begins pacing. The engine's virtual time zero is "now".
 func (d *Driver) Start() {
 	d.started = d.clk.Now()
-	if d.ticker {
-		go d.tickerLoop()
-		return
-	}
 	go d.loop()
 }
 
@@ -246,24 +227,6 @@ func (d *Driver) loop() {
 	}
 }
 
-// tickerLoop is the legacy poll-based pacer (baseline only).
-func (d *Driver) tickerLoop() {
-	defer close(d.done)
-	ticker := time.NewTicker(2 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-ticker.C:
-			d.timerWakeups.Add(1)
-			d.mu.Lock()
-			d.advanceLocked()
-			d.mu.Unlock()
-		}
-	}
-}
-
 // kick wakes the loop so it re-plans its sleep after the event queue
 // changed. The channel has capacity 1; a pending kick already covers us.
 func (d *Driver) kick() {
@@ -280,8 +243,7 @@ func (d *Driver) Stop() {
 }
 
 // TimerWakeups reports how many times the pacing loop woke because a
-// timer fired. An idle event-driven driver holds at zero; the ticker
-// baseline accumulates ~500/s regardless of load.
+// timer fired. An idle driver holds at zero.
 func (d *Driver) TimerWakeups() int64 { return d.timerWakeups.Load() }
 
 // inject spawns fn under the mutex and synchronously drains all work that
@@ -291,15 +253,11 @@ func (d *Driver) TimerWakeups() int64 { return d.timerWakeups.Load() }
 func (d *Driver) inject(name string, fn func(p *sim.Proc)) {
 	d.mu.Lock()
 	d.e.Spawn(name, fn)
-	if !d.ticker {
-		d.advanceLocked()
-	}
+	d.advanceLocked()
 	d.mu.Unlock()
-	if !d.ticker {
-		// The spawned proc may have scheduled future events; make the loop
-		// re-plan its sleep around them.
-		d.kick()
-	}
+	// The spawned proc may have scheduled future events; make the loop
+	// re-plan its sleep around them.
+	d.kick()
 }
 
 // Inject runs fn as a simulated process and returns a channel that closes
@@ -341,8 +299,6 @@ func (d *Driver) Do(name string, fn func(p *sim.Proc)) {
 func (d *Driver) Now() sim.Time {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.ticker {
-		d.advanceLocked()
-	}
+	d.advanceLocked()
 	return d.e.Now()
 }

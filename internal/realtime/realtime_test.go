@@ -49,6 +49,18 @@ func TestDriverDoRunsInOrder(t *testing.T) {
 	}
 }
 
+// latencyCount waits until the server's latency histogram holds want
+// observations (or 2 s pass) and returns its count. The writer observes a
+// result just after writing it, so a client can read the result before
+// the observation lands; callers still assert the exact count.
+func latencyCount(srv *Server, want int64) int64 {
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Latency().Count() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return srv.Latency().Count()
+}
+
 // runClient drives one full offload exchange against addr.
 func runClient(t *testing.T, addr, deviceID string, app workload.App, seq int) (offload.Result, bool) {
 	t.Helper()
@@ -259,10 +271,10 @@ func TestServerRecordsLatency(t *testing.T) {
 			t.Fatalf("request %d: %s", i, res.Err)
 		}
 	}
-	h := srv.Latency()
-	if h.Count() != 3 {
-		t.Fatalf("latency observations = %d, want 3", h.Count())
+	if n := latencyCount(srv, 3); n != 3 {
+		t.Fatalf("latency observations = %d, want 3", n)
 	}
+	h := srv.Latency()
 	if h.Quantile(0.5) <= 0 || h.Max() <= 0 {
 		t.Fatalf("degenerate histogram: %s", h)
 	}

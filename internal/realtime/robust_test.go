@@ -83,7 +83,7 @@ func TestSlowLorisReleasesSlot(t *testing.T) {
 	if res.Err != "" || res.Output == "" {
 		t.Fatalf("healthy request after loris cleanup: %+v", res)
 	}
-	if n := srv.Latency().Count(); n != 1 {
+	if n := latencyCount(srv, 1); n != 1 {
 		t.Fatalf("latency observations = %d, want exactly the healthy request", n)
 	}
 }

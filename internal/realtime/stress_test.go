@@ -56,9 +56,11 @@ func TestDedupCacheConcurrentEviction(t *testing.T) {
 	if len(dc.res) > capacity {
 		t.Fatalf("window grew to %d entries, cap %d", len(dc.res), capacity)
 	}
+	// The order ring's oldest entry sits at head; walk the whole window
+	// from there, wrapping, so every live slot is checked.
 	live := 0
-	for i := dc.head; i < len(dc.order); i++ {
-		key := dc.order[i]
+	for i := 0; i < len(dc.order); i++ {
+		key := dc.order[(dc.head+i)%len(dc.order)]
 		r, ok := dc.res[key]
 		if !ok {
 			t.Fatalf("order entry %v missing from result map", key)

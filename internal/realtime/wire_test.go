@@ -2,9 +2,13 @@ package realtime
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -14,16 +18,16 @@ import (
 	"rattrap/internal/workload"
 )
 
-// helloOverWire dials addr and completes a hello on the given client
-// codec, returning the connection pair for the rest of the exchange.
-func helloOverWire(t *testing.T, addr string, wire offload.Wire, dev string) (net.Conn, *offload.Conn) {
+// dialHello dials addr and completes a hello, returning the connection
+// pair for the rest of the exchange.
+func dialHello(t *testing.T, addr, dev string) (net.Conn, *offload.Conn) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	c := offload.NewConnWire(conn, wire)
+	c := offload.NewConn(conn)
 	if err := c.Send(offload.Frame{Kind: offload.KindHello, Hello: &offload.Hello{DeviceID: dev}}); err != nil {
 		t.Fatal(err)
 	}
@@ -63,55 +67,19 @@ func execOnce(t *testing.T, c *offload.Conn, app workload.App, seq int) offload.
 	return *f.Result
 }
 
-// TestServerWireNegotiation covers the handshake matrix the ISSUE pins:
-// binary and gob clients against an auto server, a binary client against
-// a gob-pinned server (typed refusal, not a dropped connection), an
-// unknown wire version (same), and a mid-handshake disconnect.
+// TestServerWireNegotiation covers the handshake: a binary client is
+// served, an unknown wire version gets a typed refusal rather than a
+// dropped connection, and a mid-handshake disconnect leaves the server
+// serving. The legacy gob client is TestServerRefusesLegacyGobHello.
 func TestServerWireNegotiation(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
 
 	t.Run("binary client, auto server", func(t *testing.T) {
 		_, ln := startServerOpts(t, Options{})
-		_, c := helloOverWire(t, ln.Addr().String(), offload.WireBinary, "bin-dev")
+		_, c := dialHello(t, ln.Addr().String(), "bin-dev")
 		res := execOnce(t, c, app, 0)
 		if res.Err != "" || res.Output == "" {
 			t.Fatalf("binary request failed: %+v", res)
-		}
-		// The server mirrored the sniffed codec, so the frames we received
-		// negotiated this connection's receive side to binary too — after
-		// which our own send codec is what we chose at dial time.
-		if got := c.WireName(); got != "binary" {
-			t.Fatalf("client WireName = %q, want binary", got)
-		}
-	})
-
-	t.Run("gob client, auto server", func(t *testing.T) {
-		_, ln := startServerOpts(t, Options{})
-		_, c := helloOverWire(t, ln.Addr().String(), offload.WireGob, "gob-dev")
-		res := execOnce(t, c, app, 0)
-		if res.Err != "" || res.Output == "" {
-			t.Fatalf("gob request failed: %+v", res)
-		}
-		if got := c.WireName(); got != "gob" {
-			t.Fatalf("client WireName = %q, want gob", got)
-		}
-	})
-
-	t.Run("binary client, gob-pinned server", func(t *testing.T) {
-		_, ln := startServerOpts(t, Options{Wire: offload.WireGob})
-		conn, c := helloOverWire(t, ln.Addr().String(), offload.WireBinary, "bin-dev")
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		// The refusal comes back as a gob frame; the binary client's
-		// receive side sniffs and reads it.
-		f, err := c.Recv()
-		if err != nil {
-			t.Fatalf("expected a typed protocol error frame, got recv error %v", err)
-		}
-		if f.Kind != offload.KindResult || f.Result.Code != offload.CodeProtocol {
-			t.Fatalf("expected protocol-error result, got %+v", f)
-		}
-		if !strings.Contains(f.Result.Err, "gob only") {
-			t.Fatalf("refusal does not name the policy: %q", f.Result.Err)
 		}
 	})
 
@@ -128,7 +96,7 @@ func TestServerWireNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := offload.NewConnWire(conn, offload.WireAuto).Recv()
+		f, err := offload.NewConn(conn).Recv()
 		if err != nil {
 			t.Fatalf("expected a typed protocol error frame, got recv error %v", err)
 		}
@@ -152,20 +120,64 @@ func TestServerWireNegotiation(t *testing.T) {
 		}
 		conn.Close()
 		// The server must shrug it off and keep serving.
-		_, c := helloOverWire(t, ln.Addr().String(), offload.WireBinary, "after-dc")
+		_, c := dialHello(t, ln.Addr().String(), "after-dc")
 		if res := execOnce(t, c, app, 0); res.Err != "" {
 			t.Fatalf("request after disconnect: %+v", res)
 		}
-		// The observation lands just after the result write, so give the
-		// writer goroutine a beat before asserting.
-		deadline := time.Now().Add(2 * time.Second)
-		for srv.Latency().Count() == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := srv.Latency().Count(); n != 1 {
+		if n := latencyCount(srv, 1); n != 1 {
 			t.Fatalf("latency observations = %d, want only the completed request", n)
 		}
 	})
+}
+
+// legacyGobHello is the first frame of the stream a pre-binary (gob)
+// client sends: its length prefix and the gob-encoded hello, cut from the
+// offload package's recorded legacy stream.
+func legacyGobHello(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("../offload/testdata/gob_stream.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, n := binary.Uvarint(stream)
+	if n <= 0 || uint64(len(stream)-n) < size {
+		t.Fatal("recorded gob stream does not open with a whole frame")
+	}
+	return stream[:n+int(size)]
+}
+
+// TestServerRefusesLegacyGobHello: a gob client's hello is hostile input
+// to a binary-only server. The server must answer it with a binary
+// protocol-error result frame and then close the connection.
+func TestServerRefusesLegacyGobHello(t *testing.T) {
+	_, ln := startServerOpts(t, Options{})
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(legacyGobHello(t)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	c := offload.NewConn(conn)
+	f, err := c.Recv()
+	if err != nil {
+		t.Fatalf("expected a binary protocol-error frame, got recv error %v", err)
+	}
+	if f.Kind != offload.KindResult || f.Result.Code != offload.CodeProtocol {
+		t.Fatalf("expected protocol-error result, got %+v", f)
+	}
+	if !strings.Contains(f.Result.Err, "gob") {
+		t.Fatalf("refusal does not name the legacy codec: %q", f.Result.Err)
+	}
+	if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the refusal: err = %v, want io.EOF (connection closed)", err)
+	}
 }
 
 // TestServerBinaryPipelineAliasing is the -race gate on the zero-copy
@@ -202,7 +214,7 @@ func TestServerBinaryPipelineAliasing(t *testing.T) {
 	defer conn.Close()
 	got := make([]string, requests)
 	errs := make([]string, requests)
-	pc := offload.NewPipelineClient(offload.NewConnWire(conn, offload.WireBinary), depth,
+	pc := offload.NewPipelineClient(offload.NewConn(conn), depth,
 		func(need offload.NeedCode) (offload.CodePush, error) {
 			return offload.CodePush{AID: aid, App: app.Name(), Size: app.CodeSize()}, nil
 		},
@@ -267,14 +279,14 @@ func (r *repeatStream) Write(p []byte) (int, error) { return len(p), nil }
 func TestServerHotPathZeroAlloc(t *testing.T) {
 	var enc bytes.Buffer
 	params := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := offload.NewConnWire(&enc, offload.WireBinary).Send(offload.Frame{
+	if err := offload.NewConn(&enc).Send(offload.Frame{
 		Kind: offload.KindExec, Exec: &offload.ExecRequest{
 			AID: "a1b2c3d4", App: "Linpack", Method: "solve", Seq: 3,
 			Params: params, ParamBytes: 500,
 		}}); err != nil {
 		t.Fatal(err)
 	}
-	c := offload.NewConnWire(&repeatStream{data: enc.Bytes()}, offload.WireAuto)
+	c := offload.NewConn(&repeatStream{data: enc.Bytes()})
 	mem := cluster.NewMembership(4, 0, 1)
 	dedup := newDedupCache(64)
 	res := offload.Result{Output: "n=64 residual=1.08e-13", ResultBytes: 550}
@@ -298,7 +310,7 @@ func TestServerHotPathZeroAlloc(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		hot() // warm: intern strings, seat buffers, settle the gob side
+		hot() // warm: intern strings, seat buffers
 	}
 	if avg := testing.AllocsPerRun(200, hot); avg != 0 {
 		t.Fatalf("warehouse-hit frame path allocates %.1f times per request, want 0", avg)

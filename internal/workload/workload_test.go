@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -331,6 +334,21 @@ func TestLinpackRejectsBadOrder(t *testing.T) {
 	task := Task{App: NameLinpack, Params: encodeParams(linpackParams{Seed: 1, N: 0})}
 	if _, err := l.Execute(task); err == nil {
 		t.Fatal("order 0 accepted")
+	}
+}
+
+// TestLinpackRefusesLegacyGobParams: param blobs from clients that
+// predate the flat format were gob. They are now hostile input: Execute
+// must fail with a typed *ParamFormatError, not panic or misdecode.
+func TestLinpackRefusesLegacyGobParams(t *testing.T) {
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(linpackParams{Seed: 1, N: 16}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewLinpack().Execute(Task{App: NameLinpack, Method: "solve", Params: blob.Bytes()})
+	var pfe *ParamFormatError
+	if !errors.As(err, &pfe) {
+		t.Fatalf("err = %v, want *ParamFormatError", err)
 	}
 }
 
